@@ -4,11 +4,11 @@
 //! pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use geometry::{CutDirection, PolishExpression, Rect, ShapeCurve};
+use geometry::{CutDirection, PolishExpression, Rect, ShapeCurve, SlicingMemo};
 use graphs::seqgraph::SeqGraphConfig;
 use graphs::SeqGraph;
 use hidap::layout::{generate_layout, LayoutBlock, LayoutProblem};
-use hidap::shape_curves::compose_expression;
+use hidap::shape_curves::MacroPacking;
 use hidap::{HidapConfig, HidapFlow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +24,7 @@ fn bench_shape_curves(c: &mut Criterion) {
             .collect();
         let expr = PolishExpression::chain(n, CutDirection::Vertical);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| compose_expression(&expr, &leaves, 24))
+            b.iter(|| SlicingMemo::new(expr.clone(), MacroPacking::new(&leaves, 24)).root().clone())
         });
     }
     group.finish();

@@ -47,7 +47,10 @@ pub use orientation::Orientation;
 pub use point::Point;
 pub use rect::Rect;
 pub use shape_curve::ShapeCurve;
-pub use slicing::{CutDirection, PolishExpression, PolishToken, SlicingNode, SlicingTree};
+pub use slicing::{
+    CutDirection, Move, PolishExpression, PolishToken, SlicingFold, SlicingMemo, SlicingNode,
+    SlicingTree,
+};
 
 /// Integer database unit used for all coordinates in the workspace.
 pub type Dbu = i64;

@@ -5,8 +5,15 @@
 //! legal (non-overlapping) placement of the macros exists inside the box.
 //! Only the Pareto-minimal points are stored: a box `(w, h)` is feasible iff
 //! there is a curve point `(w', h')` with `w' <= w` and `h' <= h`.
+//!
+//! Composing two curves under a slicing cut is Stockmeyer's linear merge
+//! (Inf. & Control 1983): because both point lists are sorted with widths
+//! rising and heights falling, one pass over the two lists in step finds
+//! every Pareto point of the composition in `O(|a| + |b|)`, instead of
+//! forming all `|a|·|b|` pairs. The Pareto-minimal set of a point set is
+//! unique, so the merge returns exactly the all-pairs result.
 
-use crate::Dbu;
+use crate::{CutDirection, Dbu};
 use serde::{Deserialize, Serialize};
 
 /// A Pareto-minimal set of feasible `(width, height)` bounding boxes.
@@ -143,6 +150,21 @@ impl ShapeCurve {
         self.compose(other, false)
     }
 
+    /// Composes the curves of the two children of a slicing cut: a vertical
+    /// cut places them side by side, a horizontal cut stacks them.
+    pub fn compose_cut(&self, other: &ShapeCurve, cut: CutDirection) -> ShapeCurve {
+        self.compose(other, cut == CutDirection::Vertical)
+    }
+
+    /// Stockmeyer's linear merge. For a side-by-side composition the taller
+    /// operand sets the height of a pair, so walking both curves from their
+    /// narrowest point and advancing whichever is taller (both on a tie)
+    /// visits, for every reachable height, the narrowest pair achieving it;
+    /// every other pair is dominated by one the walk emits. A stacked
+    /// composition is the mirror walk from the widest points. The walk emits
+    /// at most `|a| + |b| - 1` feasible pairs that include the whole Pareto
+    /// set of all `|a|·|b|` pairs, and the Pareto set is unique, so the same
+    /// filter yields exactly the all-pairs result.
     fn compose(&self, other: &ShapeCurve, horizontal: bool) -> ShapeCurve {
         if self.points.is_empty() {
             return other.clone();
@@ -150,14 +172,23 @@ impl ShapeCurve {
         if other.points.is_empty() {
             return self.clone();
         }
-        let mut combos = Vec::with_capacity(self.points.len() * other.points.len());
-        for &(w1, h1) in &self.points {
-            for &(w2, h2) in &other.points {
-                if horizontal {
-                    combos.push((w1 + w2, h1.max(h2)));
-                } else {
-                    combos.push((w1.max(w2), h1 + h2));
-                }
+        let (a, b) = (&self.points, &other.points);
+        let mut combos = Vec::with_capacity(a.len() + b.len());
+        if horizontal {
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                let ((w1, h1), (w2, h2)) = (a[i], b[j]);
+                combos.push((w1 + w2, h1.max(h2)));
+                i += usize::from(h1 >= h2);
+                j += usize::from(h2 >= h1);
+            }
+        } else {
+            let (mut i, mut j) = (a.len(), b.len());
+            while i > 0 && j > 0 {
+                let ((w1, h1), (w2, h2)) = (a[i - 1], b[j - 1]);
+                combos.push((w1.max(w2), h1 + h2));
+                i -= usize::from(w1 >= w2);
+                j -= usize::from(w2 >= w1);
             }
         }
         ShapeCurve::from_points(combos)
@@ -166,9 +197,9 @@ impl ShapeCurve {
     /// Keeps at most `limit` points, preserving the extremes and an evenly
     /// spread selection in between. Used to bound curve growth during
     /// bottom-up composition.
-    pub fn pruned(&self, limit: usize) -> ShapeCurve {
+    pub fn pruned(self, limit: usize) -> ShapeCurve {
         if self.points.len() <= limit || limit == 0 {
-            return self.clone();
+            return self;
         }
         let n = self.points.len();
         let mut kept = Vec::with_capacity(limit);
@@ -266,7 +297,7 @@ mod tests {
     #[test]
     fn pruning_keeps_extremes() {
         let c = ShapeCurve::from_points((1..=20).map(|i| (i, 21 - i)));
-        let p = c.pruned(5);
+        let p = c.clone().pruned(5);
         assert_eq!(p.len(), 5);
         assert_eq!(p.points().first(), c.points().first());
         assert_eq!(p.points().last(), c.points().last());

@@ -10,9 +10,16 @@
 //! * **M2** — complement a chain of operators (`H` ↔ `V`),
 //! * **M3** — swap an adjacent operand/operator pair (only when the result is
 //!   still a normalized, balloting-valid expression).
+//!
+//! Each move rewrites O(1) positions of the expression (a chain inversion
+//! rewrites one operator run) and is its own inverse, so the annealers apply
+//! moves in place and undo rejected ones. [`SlicingMemo`] keeps every
+//! subtree's value by postfix position and recomputes only the subtrees
+//! whose token range contains a rewritten position.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Direction of the cut performed by an internal slicing-tree node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -155,104 +162,118 @@ impl PolishExpression {
         operands == self.num_blocks && operators + 1 == operands
     }
 
-    /// Applies one random Wong–Liu move, returning the indices it touched so
-    /// the caller can undo it by restoring a clone. The move kinds are chosen
-    /// with equal probability as in the paper.
-    pub fn random_move<R: Rng + ?Sized>(&mut self, rng: &mut R) -> MoveKind {
+    /// Applies one random Wong–Liu move in place and returns it; applying
+    /// the returned move again ([`PolishExpression::undo`]) restores the
+    /// expression. The move kinds are chosen with equal probability as in
+    /// the paper.
+    pub fn random_move<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Move {
         // Retry until a move succeeds; M3 can fail on particular positions.
         loop {
-            match rng.gen_range(0..3) {
-                0 => {
-                    if self.move_swap_operands(rng) {
-                        return MoveKind::OperandSwap;
-                    }
-                }
-                1 => {
-                    if self.move_invert_chain(rng) {
-                        return MoveKind::ChainInvert;
-                    }
-                }
-                _ => {
-                    if self.move_swap_operand_operator(rng) {
-                        return MoveKind::OperandOperatorSwap;
+            let applied = match rng.gen_range(0..3) {
+                0 => self.move_swap_operands(rng),
+                1 => self.move_invert_chain(rng),
+                _ => self.move_swap_operand_operator(rng),
+            };
+            if let Some(m) = applied {
+                return m;
+            }
+        }
+    }
+
+    /// Reverts a move returned by one of the move methods. Every move is its
+    /// own inverse, so this applies it a second time.
+    pub fn undo(&mut self, m: Move) {
+        self.apply(m);
+    }
+
+    fn apply(&mut self, m: Move) {
+        match m {
+            Move::OperandSwap(a, b) => self.tokens.swap(a, b),
+            Move::ChainInvert { start, len } => {
+                for t in &mut self.tokens[start..start + len] {
+                    if let PolishToken::Operator(dir) = t {
+                        *dir = dir.flipped();
                     }
                 }
             }
+            Move::OperandOperatorSwap(i) => self.tokens.swap(i, i + 1),
         }
     }
 
     /// M1: swaps two adjacent operands (adjacent in operand order, ignoring
     /// the operators between them). Always succeeds for ≥ 2 blocks.
-    pub fn move_swap_operands<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+    pub fn move_swap_operands<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Move> {
         if self.num_blocks < 2 {
-            return false;
+            return None;
         }
-        let operand_positions: Vec<usize> = self
-            .tokens
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.is_operand().then_some(i))
-            .collect();
-        let k = rng.gen_range(0..operand_positions.len() - 1);
-        self.tokens.swap(operand_positions[k], operand_positions[k + 1]);
-        true
+        let k = rng.gen_range(0..self.num_blocks - 1);
+        let mut operands =
+            self.tokens.iter().enumerate().filter(|(_, t)| t.is_operand()).map(|(i, _)| i);
+        let a = operands.nth(k)?;
+        let m = Move::OperandSwap(a, operands.next()?);
+        self.apply(m);
+        Some(m)
     }
 
     /// M2: complements every operator in a randomly chosen maximal operator
     /// chain (`H` ↔ `V`). Always succeeds when at least one operator exists.
-    pub fn move_invert_chain<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        let chains = self.operator_chains();
-        if chains.is_empty() {
-            return false;
+    pub fn move_invert_chain<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Move> {
+        let chain_starts = || {
+            (0..self.tokens.len()).filter(|&i| {
+                !self.tokens[i].is_operand() && (i == 0 || self.tokens[i - 1].is_operand())
+            })
+        };
+        let chains = chain_starts().count();
+        if chains == 0 {
+            return None;
         }
-        let (start, len) = chains[rng.gen_range(0..chains.len())];
-        for t in &mut self.tokens[start..start + len] {
-            if let PolishToken::Operator(dir) = t {
-                *dir = dir.flipped();
-            }
-        }
-        true
+        let start = chain_starts().nth(rng.gen_range(0..chains))?;
+        let len = self.tokens[start..].iter().take_while(|t| !t.is_operand()).count();
+        let m = Move::ChainInvert { start, len };
+        self.apply(m);
+        Some(m)
     }
 
     /// M3: swaps a randomly chosen adjacent operand/operator pair, provided
-    /// the result still satisfies balloting and normalization. Returns `false`
-    /// if the chosen position is infeasible.
-    pub fn move_swap_operand_operator<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+    /// the result still satisfies balloting and normalization. Returns `None`
+    /// (leaving the expression unchanged) if the chosen position is
+    /// infeasible.
+    pub fn move_swap_operand_operator<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Move> {
         if self.tokens.len() < 3 {
-            return false;
+            return None;
         }
-        let candidates: Vec<usize> = (0..self.tokens.len() - 1)
-            .filter(|&i| self.tokens[i].is_operand() != self.tokens[i + 1].is_operand())
-            .collect();
-        if candidates.is_empty() {
-            return false;
+        let mixed = |i: &usize| self.tokens[*i].is_operand() != self.tokens[*i + 1].is_operand();
+        let candidates = (0..self.tokens.len() - 1).filter(mixed).count();
+        if candidates == 0 {
+            return None;
         }
-        let i = candidates[rng.gen_range(0..candidates.len())];
-        self.tokens.swap(i, i + 1);
-        if self.is_valid() {
-            true
-        } else {
-            self.tokens.swap(i, i + 1);
-            false
+        let i = (0..self.tokens.len() - 1).filter(mixed).nth(rng.gen_range(0..candidates))?;
+        let valid = self.swap_keeps_valid(i);
+        debug_assert_eq!(valid, {
+            let mut swapped = self.clone();
+            swapped.tokens.swap(i, i + 1);
+            swapped.is_valid()
+        });
+        if !valid {
+            return None;
         }
+        let m = Move::OperandOperatorSwap(i);
+        self.apply(m);
+        Some(m)
     }
 
-    /// Maximal runs of consecutive operators as `(start_index, length)`.
-    fn operator_chains(&self) -> Vec<(usize, usize)> {
-        let mut chains = Vec::new();
-        let mut i = 0;
-        while i < self.tokens.len() {
-            if !self.tokens[i].is_operand() {
-                let start = i;
-                while i < self.tokens.len() && !self.tokens[i].is_operand() {
-                    i += 1;
-                }
-                chains.push((start, i - start));
-            } else {
-                i += 1;
+    /// Whether swapping the operand/operator pair at `i`, `i + 1` of this
+    /// valid expression leaves it valid. Only the moved operator can break
+    /// validity: moving left, it can violate balloting at `i` or repeat the
+    /// operator before it; moving right, it can repeat the operator after it.
+    fn swap_keeps_valid(&self, i: usize) -> bool {
+        match (self.tokens[i], self.tokens[i + 1]) {
+            (PolishToken::Operand(_), op @ PolishToken::Operator(_)) => {
+                let operators = self.tokens[..i].iter().filter(|t| !t.is_operand()).count();
+                operators + 1 < i - operators && (i == 0 || self.tokens[i - 1] != op)
             }
+            (op, _) => self.tokens.get(i + 2) != Some(&op),
         }
-        chains
     }
 
     /// Builds the slicing tree corresponding to this expression.
@@ -284,15 +305,32 @@ impl PolishExpression {
     }
 }
 
-/// Which of the three annealing moves was applied by [`PolishExpression::random_move`].
+/// One applied Wong–Liu move and the token positions it rewrote. Every
+/// move is its own inverse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MoveKind {
-    /// Two adjacent operands were exchanged.
-    OperandSwap,
-    /// An operator chain was complemented.
-    ChainInvert,
-    /// An adjacent operand/operator pair was exchanged.
-    OperandOperatorSwap,
+pub enum Move {
+    /// M1: the operands at the two positions were exchanged.
+    OperandSwap(usize, usize),
+    /// M2: the operator chain at `start..start + len` was complemented.
+    ChainInvert {
+        /// Position of the chain's first operator.
+        start: usize,
+        /// Number of operators in the chain.
+        len: usize,
+    },
+    /// M3: the operand/operator pair at `i` and `i + 1` was exchanged.
+    OperandOperatorSwap(usize),
+}
+
+impl Move {
+    /// The token positions the move rewrote, as two (possibly empty) ranges.
+    pub fn touched(&self) -> [Range<usize>; 2] {
+        match *self {
+            Move::OperandSwap(a, b) => [a..a + 1, b..b + 1],
+            Move::ChainInvert { start, len } => [start..start + len, 0..0],
+            Move::OperandOperatorSwap(i) => [i..i + 2, 0..0],
+        }
+    }
 }
 
 /// A node of a [`SlicingTree`].
@@ -357,6 +395,221 @@ impl SlicingTree {
                 self.collect_leaves(*right, out);
             }
         }
+    }
+}
+
+/// A bottom-up value of a slicing tree: one value per leaf block, and one
+/// per internal node built from its two children and its cut.
+pub trait SlicingFold {
+    /// The value memoized for every subtree.
+    type Value: Clone;
+
+    /// The value of the leaf holding `block`.
+    fn leaf(&self, block: usize) -> Self::Value;
+
+    /// The value of an internal node cutting in direction `cut`.
+    fn cut(&self, cut: CutDirection, left: &Self::Value, right: &Self::Value) -> Self::Value;
+}
+
+/// The memoized value of the subtree rooted at one postfix position.
+#[derive(Debug, Clone)]
+struct Memo<V> {
+    /// First token position of the subtree: it spans `start..=root`.
+    start: usize,
+    value: V,
+}
+
+/// A Polish expression annealed in place, with every subtree's
+/// [`SlicingFold`] value memoized by postfix position.
+///
+/// [`PolishExpression::to_tree`] numbers the node of each token by the
+/// token's position, and the subtree rooted at position `p` is the token
+/// range `start(p)..=p`. That range is found by scanning back from `p`
+/// until it holds one more operand than operators, so it depends on its own
+/// tokens only. A move that rewrites a set of positions therefore leaves
+/// every subtree whose range avoids them exactly as it was, value included.
+///
+/// [`SlicingMemo::propose`] applies one random move and finds the nodes
+/// whose range contains a rewritten token with one forward stack scan. It
+/// recomputes just those nodes, bottom-up, into an overlay over the
+/// committed values. [`SlicingMemo::accept`] commits the overlay;
+/// [`SlicingMemo::reject`] undoes the move and drops the overlay.
+/// [`SlicingMemo::new`] runs the same scan with every position rewritten, so
+/// there is one evaluation path, and an incremental value is bit-identical
+/// to a from-scratch one: each recomputed node folds the same children in
+/// the same order.
+///
+/// # Example
+///
+/// ```
+/// use geometry::{CutDirection, PolishExpression, SlicingFold, SlicingMemo};
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// /// The number of leaves under each node.
+/// struct Count;
+/// impl SlicingFold for Count {
+///     type Value = usize;
+///     fn leaf(&self, _: usize) -> usize { 1 }
+///     fn cut(&self, _: CutDirection, l: &usize, r: &usize) -> usize { l + r }
+/// }
+///
+/// let mut memo = SlicingMemo::new(PolishExpression::chain(5, CutDirection::Vertical), Count);
+/// let mut rng = StdRng::seed_from_u64(1);
+/// assert_eq!(*memo.propose(&mut rng), 5);
+/// memo.reject();
+/// assert_eq!(memo.expression(), &PolishExpression::chain(5, CutDirection::Vertical));
+/// ```
+#[derive(Clone)]
+pub struct SlicingMemo<F: SlicingFold> {
+    expr: PolishExpression,
+    fold: F,
+    /// Per postfix position: the value of the accepted expression's subtree.
+    committed: Vec<Memo<F::Value>>,
+    /// Per postfix position: the recomputed value under the pending move.
+    overlay: Vec<Option<Memo<F::Value>>>,
+    /// Positions holding an overlay entry.
+    staged: Vec<usize>,
+    /// Scan scratch: `(start, recomputed)` of each open subtree.
+    stack: Vec<(usize, bool)>,
+    pending: Option<Move>,
+}
+
+impl<F: SlicingFold> SlicingMemo<F> {
+    /// Memoizes every subtree of `expr`.
+    pub fn new(expr: PolishExpression, fold: F) -> Self {
+        let n = expr.tokens.len();
+        let mut memo = Self {
+            expr,
+            fold,
+            committed: Vec::with_capacity(n),
+            overlay: vec![None; n],
+            staged: Vec::with_capacity(n),
+            stack: Vec::new(),
+            pending: None,
+        };
+        memo.refresh([0..n, 0..0]);
+        memo.committed =
+            memo.overlay.iter_mut().map(|m| m.take().expect("all recomputed")).collect();
+        memo.staged.clear();
+        memo
+    }
+
+    /// The expression, with the pending move applied if there is one.
+    pub fn expression(&self) -> &PolishExpression {
+        &self.expr
+    }
+
+    /// The fold the values are built with.
+    pub fn fold(&self) -> &F {
+        &self.fold
+    }
+
+    /// Postfix position of the root.
+    pub fn root_position(&self) -> usize {
+        self.expr.tokens.len() - 1
+    }
+
+    /// The value of the whole tree.
+    pub fn root(&self) -> &F::Value {
+        self.value(self.root_position())
+    }
+
+    /// The value of the subtree rooted at postfix position `pos`.
+    pub fn value(&self, pos: usize) -> &F::Value {
+        &self.memo(pos).value
+    }
+
+    /// The node at postfix position `pos`; children are postfix positions.
+    pub fn node(&self, pos: usize) -> SlicingNode {
+        match self.expr.tokens[pos] {
+            PolishToken::Operand(block) => SlicingNode::Leaf { block },
+            PolishToken::Operator(cut) => {
+                // the right subtree ends just before its parent, the left
+                // one just before the right one starts
+                let right = pos - 1;
+                SlicingNode::Internal { cut, left: self.memo(right).start - 1, right }
+            }
+        }
+    }
+
+    /// Applies one random Wong–Liu move in place, recomputes the subtrees it
+    /// touched into the overlay and returns the new root value. The move is
+    /// pending until [`SlicingMemo::accept`] or [`SlicingMemo::reject`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a move is already pending, or if the expression has a
+    /// single block (no move exists).
+    pub fn propose<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &F::Value {
+        assert!(self.pending.is_none(), "accept or reject the pending move first");
+        assert!(self.expr.num_blocks > 1, "a single block has no moves");
+        let m = self.expr.random_move(rng);
+        self.pending = Some(m);
+        self.refresh(m.touched());
+        self.root()
+    }
+
+    /// Keeps the pending move: the overlay becomes the committed state.
+    pub fn accept(&mut self) {
+        self.pending = None;
+        for &p in &self.staged {
+            self.committed[p] = self.overlay[p].take().expect("staged positions hold a value");
+        }
+        self.staged.clear();
+    }
+
+    /// Drops the pending move: the expression and every value revert.
+    pub fn reject(&mut self) {
+        if let Some(m) = self.pending.take() {
+            self.expr.undo(m);
+        }
+        for &p in &self.staged {
+            self.overlay[p] = None;
+        }
+        self.staged.clear();
+    }
+
+    fn memo(&self, pos: usize) -> &Memo<F::Value> {
+        self.overlay[pos].as_ref().unwrap_or_else(|| &self.committed[pos])
+    }
+
+    /// The one evaluation path: recomputes, bottom-up, every node whose
+    /// token range meets `touched`, into the overlay.
+    fn refresh(&mut self, touched: [Range<usize>; 2]) {
+        let hit = |p: usize| touched.iter().any(|r| r.contains(&p));
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        for p in 0..self.expr.tokens.len() {
+            let (start, dirty) = match self.expr.tokens[p] {
+                PolishToken::Operand(block) => {
+                    let dirty = hit(p);
+                    if dirty {
+                        self.stage(p, Memo { start: p, value: self.fold.leaf(block) });
+                    }
+                    (p, dirty)
+                }
+                PolishToken::Operator(cut) => {
+                    let (right_start, right_dirty) = stack.pop().expect("valid polish expression");
+                    let (start, left_dirty) = stack.pop().expect("valid polish expression");
+                    let dirty = left_dirty || right_dirty || hit(p);
+                    if dirty {
+                        let (left, right) = (self.value(right_start - 1), self.value(p - 1));
+                        let value = self.fold.cut(cut, left, right);
+                        self.stage(p, Memo { start, value });
+                    }
+                    (start, dirty)
+                }
+            };
+            stack.push((start, dirty));
+        }
+        debug_assert_eq!(stack.len(), 1, "valid polish expression leaves one root");
+        self.stack = stack;
+    }
+
+    fn stage(&mut self, pos: usize, memo: Memo<F::Value>) {
+        self.overlay[pos] = Some(memo);
+        self.staged.push(pos);
     }
 }
 
@@ -450,7 +703,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut e = PolishExpression::chain(4, CutDirection::Vertical);
         let before = e.to_tree().leaf_order();
-        e.move_swap_operands(&mut rng);
+        assert!(e.move_swap_operands(&mut rng).is_some());
         let after = e.to_tree().leaf_order();
         assert_ne!(before, after);
     }
@@ -459,7 +712,7 @@ mod tests {
     fn chain_invert_flips_cuts() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut e = PolishExpression::chain(2, CutDirection::Vertical);
-        assert!(e.move_invert_chain(&mut rng));
+        assert!(e.move_invert_chain(&mut rng).is_some());
         match e.tokens()[2] {
             PolishToken::Operator(dir) => assert_eq!(dir, CutDirection::Horizontal),
             _ => panic!("expected operator"),

@@ -10,7 +10,61 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
         .prop_map(|(x, y, w, h)| Rect::from_size(x, y, w, h))
 }
 
+/// Oracle: composition by all `|a|·|b|` pairs, then the Pareto filter.
+/// An empty curve is unconstrained and composes as the identity.
+fn all_pairs_compose(a: &ShapeCurve, b: &ShapeCurve, horizontal: bool) -> ShapeCurve {
+    if a.is_unconstrained() {
+        return b.clone();
+    }
+    if b.is_unconstrained() {
+        return a.clone();
+    }
+    let mut pairs = Vec::new();
+    for &(w1, h1) in a.points() {
+        for &(w2, h2) in b.points() {
+            pairs.push(if horizontal { (w1 + w2, h1.max(h2)) } else { (w1.max(w2), h1 + h2) });
+        }
+    }
+    ShapeCurve::from_points(pairs)
+}
+
+/// Curves from a small coordinate range, so equal widths, equal heights and
+/// duplicate points are common; an empty point list is the unconstrained
+/// curve.
+fn arb_curve() -> impl Strategy<Value = ShapeCurve> {
+    prop::collection::vec((0i64..12, 0i64..12), 0..9).prop_map(ShapeCurve::from_points)
+}
+
 proptest! {
+    #[test]
+    fn merge_compose_equals_all_pairs(a in arb_curve(), b in arb_curve()) {
+        prop_assert_eq!(a.compose_horizontal(&b), all_pairs_compose(&a, &b, true));
+        prop_assert_eq!(a.compose_vertical(&b), all_pairs_compose(&a, &b, false));
+        prop_assert_eq!(a.compose_cut(&b, CutDirection::Vertical), all_pairs_compose(&a, &b, true));
+        prop_assert_eq!(a.compose_cut(&b, CutDirection::Horizontal), all_pairs_compose(&a, &b, false));
+    }
+
+    #[test]
+    fn undone_moves_restore_the_expression(n in 2usize..12, seed in 0u64..500, moves in 1usize..40) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut expr = PolishExpression::chain(n, CutDirection::Vertical);
+        for _ in 0..moves {
+            let before = expr.clone();
+            let m = expr.random_move(&mut rng);
+            // positions outside the touched ranges are untouched
+            let touched = m.touched();
+            for (p, (a, b)) in before.tokens().iter().zip(expr.tokens()).enumerate() {
+                if !touched.iter().any(|r| r.contains(&p)) {
+                    prop_assert_eq!(a, b);
+                }
+            }
+            let after = expr.clone();
+            expr.undo(m);
+            prop_assert_eq!(&expr, &before);
+            expr = after;
+        }
+    }
+
     #[test]
     fn rect_intersection_is_contained_in_both(a in arb_rect(), b in arb_rect()) {
         if let Some(i) = a.intersection(&b) {

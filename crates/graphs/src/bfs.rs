@@ -32,10 +32,19 @@ impl BfsResult {
 /// * `num_nodes` — number of nodes in the graph,
 /// * `sources` — the seed nodes (distance 0); the *source index* recorded for
 ///   reached nodes is the position of the seed in this slice,
-/// * `successors` — adjacency callback returning the out-neighbors of a node,
+/// * `neighbors` — adjacency callback returning the out-neighbors of a node
+///   as an iterator (chain slices to search several edge sets, with no
+///   per-node allocation),
 /// * `can_traverse` — filter deciding whether the search may continue *through*
 ///   a node (sources are always expanded; targets that cannot be traversed are
-///   still reached and recorded, they just do not propagate further).
+///   still reached and recorded, they just do not propagate further),
+/// * `targets` — the search stops as soon as every listed node has been
+///   discovered (list every node for a full search).
+///
+/// A node's distance, source and predecessor are fixed when it is first
+/// discovered, and the early exit changes only *whether* later nodes are
+/// discovered, never the order. So every target's entries are exactly those
+/// of the full search; other nodes may be left unreached.
 ///
 /// # Example
 ///
@@ -44,42 +53,72 @@ impl BfsResult {
 ///
 /// // path graph 0 - 1 - 2 - 3
 /// let adj = vec![vec![1], vec![0, 2], vec![1, 3], vec![2]];
-/// let r = multi_source_bfs(4, &[0], |n| adj[n].clone(), |_| true);
+/// let r = multi_source_bfs(4, &[0], |n| adj[n].iter().copied(), |_| true, &[0, 1, 2, 3]);
 /// assert_eq!(r.distance, vec![0, 1, 2, 3]);
 /// assert_eq!(r.predecessor[3], 2);
+///
+/// // stop once node 1 is found: node 3 stays unreached
+/// let r = multi_source_bfs(4, &[0], |n| adj[n].iter().copied(), |_| true, &[1]);
+/// assert_eq!(r.source[1], 0);
+/// assert!(!r.reached(3));
 /// ```
-pub fn multi_source_bfs<S, T>(
+pub fn multi_source_bfs<N, I, T>(
     num_nodes: usize,
     sources: &[usize],
-    mut successors: S,
+    mut neighbors: N,
     mut can_traverse: T,
+    targets: &[usize],
 ) -> BfsResult
 where
-    S: FnMut(usize) -> Vec<usize>,
+    N: FnMut(usize) -> I,
+    I: IntoIterator<Item = usize>,
     T: FnMut(usize) -> bool,
 {
     let mut distance = vec![u32::MAX; num_nodes];
     let mut source = vec![usize::MAX; num_nodes];
     let mut predecessor = vec![usize::MAX; num_nodes];
+    // The search ends once `remaining` undiscovered targets reach 0.
+    let mut undiscovered = vec![false; num_nodes];
+    let mut remaining = 0usize;
+    for &t in targets {
+        if t < num_nodes && !undiscovered[t] {
+            undiscovered[t] = true;
+            remaining += 1;
+        }
+    }
+    let mut done = remaining == 0;
+    let mut discover = |v: usize| {
+        if undiscovered[v] {
+            undiscovered[v] = false;
+            remaining -= 1;
+        }
+        remaining == 0
+    };
     let mut queue = VecDeque::new();
     for (i, &s) in sources.iter().enumerate() {
         if s < num_nodes && distance[s] == u32::MAX {
             distance[s] = 0;
             source[s] = i;
             queue.push_back(s);
+            done |= discover(s);
         }
     }
-    while let Some(u) = queue.pop_front() {
+    while !done {
+        let Some(u) = queue.pop_front() else { break };
         // Only sources and traversable nodes expand further.
         if distance[u] != 0 && !can_traverse(u) {
             continue;
         }
-        for v in successors(u) {
+        for v in neighbors(u) {
             if v < num_nodes && distance[v] == u32::MAX {
                 distance[v] = distance[u] + 1;
                 source[v] = source[u];
                 predecessor[v] = u;
                 queue.push_back(v);
+                if discover(v) {
+                    done = true;
+                    break;
+                }
             }
         }
     }
@@ -96,6 +135,10 @@ impl HeapSize for BfsResult {
 mod tests {
     use super::*;
 
+    /// Targets for a full search: every node of the test graphs (targets
+    /// beyond a graph's size are ignored).
+    const ALL: [usize; 6] = [0, 1, 2, 3, 4, 5];
+
     fn grid_adj() -> Vec<Vec<usize>> {
         // 0-1-2
         // |   |
@@ -106,7 +149,7 @@ mod tests {
     #[test]
     fn single_source_distances() {
         let adj = grid_adj();
-        let r = multi_source_bfs(6, &[0], |n| adj[n].clone(), |_| true);
+        let r = multi_source_bfs(6, &[0], |n| adj[n].iter().copied(), |_| true, &ALL);
         assert_eq!(r.distance, vec![0, 1, 2, 1, 2, 3]);
         assert!(r.reached(5));
     }
@@ -114,7 +157,7 @@ mod tests {
     #[test]
     fn multi_source_takes_nearest() {
         let adj = grid_adj();
-        let r = multi_source_bfs(6, &[0, 5], |n| adj[n].clone(), |_| true);
+        let r = multi_source_bfs(6, &[0, 5], |n| adj[n].iter().copied(), |_| true, &ALL);
         assert_eq!(r.distance, vec![0, 1, 1, 1, 1, 0]);
         assert_eq!(r.source[1], 0);
         assert_eq!(r.source[2], 1);
@@ -124,7 +167,7 @@ mod tests {
     fn blocked_nodes_are_reached_but_not_traversed() {
         // 0 -> 1 -> 2 ; node 1 cannot be traversed
         let adj = [vec![1], vec![2], vec![]];
-        let r = multi_source_bfs(3, &[0], |n| adj[n].clone(), |n| n != 1);
+        let r = multi_source_bfs(3, &[0], |n| adj[n].iter().copied(), |n| n != 1, &ALL);
         assert_eq!(r.distance[1], 1);
         assert!(!r.reached(2));
     }
@@ -132,7 +175,7 @@ mod tests {
     #[test]
     fn unreachable_nodes_flagged() {
         let adj = [vec![], vec![]];
-        let r = multi_source_bfs(2, &[0], |n: usize| adj[n].clone(), |_| true);
+        let r = multi_source_bfs(2, &[0], |n: usize| adj[n].iter().copied(), |_| true, &ALL);
         assert!(!r.reached(1));
         assert_eq!(r.source[1], usize::MAX);
     }
@@ -140,7 +183,7 @@ mod tests {
     #[test]
     fn duplicate_sources_keep_first() {
         let adj = [vec![1], vec![]];
-        let r = multi_source_bfs(2, &[0, 0], |n| adj[n].clone(), |_| true);
+        let r = multi_source_bfs(2, &[0, 0], |n| adj[n].iter().copied(), |_| true, &ALL);
         assert_eq!(r.source[0], 0);
     }
 }

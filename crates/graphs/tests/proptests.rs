@@ -6,6 +6,35 @@ use graphs::{FlowHistogram, NetGraph, SeqGraph};
 use netlist::design::DesignBuilder;
 use proptest::prelude::*;
 
+/// Oracle: a plain full multi-source BFS with allocated adjacency lists,
+/// returning `(distance, source, predecessor)` per node.
+fn reference_bfs(
+    adj: &[Vec<usize>],
+    sources: &[usize],
+    blocked: &[bool],
+) -> Vec<(u32, usize, usize)> {
+    let mut out = vec![(u32::MAX, usize::MAX, usize::MAX); adj.len()];
+    let mut queue = std::collections::VecDeque::new();
+    for (i, &s) in sources.iter().enumerate() {
+        if out[s].0 == u32::MAX {
+            out[s] = (0, i, usize::MAX);
+            queue.push_back(s);
+        }
+    }
+    while let Some(u) = queue.pop_front() {
+        if out[u].0 != 0 && blocked[u] {
+            continue;
+        }
+        for &v in &adj[u] {
+            if out[v].0 == u32::MAX {
+                out[v] = (out[u].0 + 1, out[u].1, u);
+                queue.push_back(v);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #[test]
     fn histogram_score_monotone_in_k_and_bits(
@@ -55,7 +84,8 @@ proptest! {
             }
             adj
         };
-        let r = multi_source_bfs(num_nodes, &[source], |n| adj[n].clone(), |_| true);
+        let all: Vec<usize> = (0..num_nodes).collect();
+        let r = multi_source_bfs(num_nodes, &[source], |n| adj[n].iter().copied(), |_| true, &all);
         prop_assert_eq!(r.distance[source], 0);
         // relaxation check: no edge can shortcut a BFS distance by more than 1
         for (a, succs) in adj.iter().enumerate() {
@@ -71,6 +101,45 @@ proptest! {
                 prop_assert!(r.reached(p));
                 prop_assert_eq!(r.distance[n], r.distance[p] + 1);
             }
+        }
+    }
+
+    #[test]
+    fn early_exit_bfs_assigns_targets_like_a_full_search(
+        edges in prop::collection::vec((0usize..40, 0usize..40), 0..120),
+        connected in 2usize..40,
+        isolated in 0usize..6,
+        sources in prop::collection::vec(0usize..40, 1..6),
+        targets in prop::collection::vec(0usize..46, 0..12),
+        blocked in prop::collection::vec(any::<bool>(), 46),
+    ) {
+        // nodes `connected..` carry no edges: targets there are unreachable
+        let num_nodes = connected + isolated;
+        let sources: Vec<usize> = sources.iter().map(|s| s % connected).collect();
+        let targets: Vec<usize> = targets.iter().map(|t| t % num_nodes).collect();
+        let blocked = &blocked[..num_nodes];
+        let mut succ = vec![Vec::new(); num_nodes];
+        let mut pred = vec![Vec::new(); num_nodes];
+        for &(a, b) in &edges {
+            let (a, b) = (a % connected, b % connected);
+            succ[a].push(b);
+            pred[b].push(a);
+        }
+        // the undirected walk the target-area search does: successors, then predecessors
+        let undirected: Vec<Vec<usize>> =
+            (0..num_nodes).map(|n| succ[n].iter().chain(&pred[n]).copied().collect()).collect();
+        let oracle = reference_bfs(&undirected, &sources, blocked);
+        let walk = |n: usize| succ[n].iter().chain(&pred[n]).copied();
+        let all: Vec<usize> = (0..num_nodes).collect();
+        let full = multi_source_bfs(num_nodes, &sources, walk, |n| !blocked[n], &all);
+        let early = multi_source_bfs(num_nodes, &sources, walk, |n| !blocked[n], &targets);
+        for (n, &expected) in oracle.iter().enumerate() {
+            let got = (full.distance[n], full.source[n], full.predecessor[n]);
+            prop_assert_eq!(got, expected, "full search, node {}", n);
+        }
+        for &t in &targets {
+            let got = (early.distance[t], early.source[t], early.predecessor[t]);
+            prop_assert_eq!(got, oracle[t], "early exit, target {}", t);
         }
     }
 

@@ -13,9 +13,21 @@
 //! The annealer minimizes `penalty · Σ affinity(i,j) · distance(i,j)` where
 //! distance is measured between block centers (and to the fixed positions of
 //! ports and already-placed context blocks).
+//!
+//! The bottom-up half of the budgeting (every subtree's summed target area
+//! and composed shape curve, [`AreaBudget`]) lives in a [`SlicingMemo`]
+//! keyed by the postfix position of each subtree's root token. A cached
+//! entry stays valid while no token in its range `start..=root` changes, so
+//! a move recomputes only the subtrees whose range holds a rewritten token,
+//! and a rejected move is undone in place. Each recomputed node adds the
+//! same two target areas and composes the same two curves as a
+//! from-scratch pass, so costs and rectangles are bit-identical to it. The
+//! top-down split ([`budget_areas`]) walks the memo and reads those values.
 
 use crate::config::HidapConfig;
-use geometry::{CutDirection, Point, PolishExpression, Rect, ShapeCurve, SlicingNode, SlicingTree};
+use geometry::{
+    CutDirection, Point, PolishExpression, Rect, ShapeCurve, SlicingFold, SlicingMemo, SlicingNode,
+};
 use graphs::AffinityMatrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -89,18 +101,22 @@ pub fn generate_layout<R: Rng + ?Sized>(
         return LayoutResult { rects, cost, penalty, wirelength: wl };
     }
 
-    let mut expr = PolishExpression::chain(n, CutDirection::Vertical);
-    let (mut current_cost, mut current_rects) = evaluate_expression(problem, &expr, config);
+    let mut memo = SlicingMemo::new(
+        PolishExpression::chain(n, CutDirection::Vertical),
+        AreaBudget::new(problem, config),
+    );
+    let mut best_rects = budget_areas(&memo);
+    let mut current_cost = evaluate_rects(problem, &best_rects, config).0;
     let mut best_cost = current_cost;
-    let mut best_rects = current_rects.clone();
-    let mut best_expr = expr.clone();
 
-    // Calibrate the initial temperature from the magnitude of random move deltas.
+    // Calibrate the initial temperature from the magnitude of random move
+    // deltas along a random walk away from the starting expression.
     let mut deltas = Vec::new();
-    let mut probe = expr.clone();
+    let mut probe = memo.clone();
     for _ in 0..(4 * n).max(16) {
-        probe.random_move(rng);
-        let (c, _) = evaluate_expression(problem, &probe, config);
+        probe.propose(rng);
+        probe.accept();
+        let c = evaluate_rects(problem, &budget_areas(&probe), config).0;
         deltas.push((c - current_cost).abs());
     }
     let avg_delta = deltas.iter().sum::<f64>() / deltas.len() as f64;
@@ -110,110 +126,93 @@ pub fn generate_layout<R: Rng + ?Sized>(
     let moves_per_step = config.sa_moves_per_block * n;
     for _ in 0..config.sa_temperature_steps {
         for _ in 0..moves_per_step {
-            let mut candidate = expr.clone();
-            candidate.random_move(rng);
-            let (cost, rects) = evaluate_expression(problem, &candidate, config);
+            memo.propose(rng);
+            let rects = budget_areas(&memo);
+            let cost = evaluate_rects(problem, &rects, config).0;
             let delta = cost - current_cost;
             if delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature.max(1e-9)).exp() {
-                expr = candidate;
+                memo.accept();
                 current_cost = cost;
-                current_rects = rects;
                 if current_cost < best_cost {
                     best_cost = current_cost;
-                    best_rects = current_rects.clone();
-                    best_expr = expr.clone();
+                    best_rects = rects;
                 }
+            } else {
+                memo.reject();
             }
         }
         temperature *= config.sa_cooling;
     }
 
-    let _ = best_expr;
     let (cost, penalty, wl) = evaluate_rects(problem, &best_rects, config);
     debug_assert!((cost - best_cost).abs() < 1e-6 || best_cost <= cost);
     LayoutResult { rects: best_rects, cost, penalty, wirelength: wl }
 }
 
-/// Evaluates a Polish expression: budgets areas top-down and computes the
-/// penalized cost. Returns the cost and the block rectangles.
-pub fn evaluate_expression(
-    problem: &LayoutProblem,
-    expr: &PolishExpression,
-    config: &HidapConfig,
-) -> (f64, Vec<Rect>) {
-    let rects = budget_areas(problem, expr, config);
-    let (cost, _, _) = evaluate_rects(problem, &rects, config);
-    (cost, rects)
+/// The slicing fold of layout generation: a subtree's value is its summed
+/// target area and the composed shape curve of its blocks, pruned to the
+/// configured limit.
+#[derive(Debug, Clone, Copy)]
+pub struct AreaBudget<'a> {
+    problem: &'a LayoutProblem,
+    limit: usize,
 }
 
-/// Computes the block rectangles implied by a Polish expression via top-down
-/// area budgeting.
-pub fn budget_areas(
-    problem: &LayoutProblem,
-    expr: &PolishExpression,
-    config: &HidapConfig,
-) -> Vec<Rect> {
-    let tree = expr.to_tree();
-    let n_nodes = tree.nodes().len();
-
-    // Bottom-up characterization of every subtree: target area, min area, shape curve.
-    let mut target = vec![0f64; n_nodes];
-    let mut shapes: Vec<ShapeCurve> = vec![ShapeCurve::unconstrained(); n_nodes];
-    characterize(&tree, tree.root(), problem, config, &mut target, &mut shapes);
-
-    // The region is a budget: scale target areas so they fill it exactly.
-    let region_area = problem.region.area() as f64;
-    let total_target: f64 = target[tree.root()].max(1.0);
-    let scale = region_area / total_target;
-
-    let mut rects = vec![problem.region; problem.blocks.len()];
-    assign(&tree, tree.root(), problem.region, &target, &shapes, scale, &mut rects);
-    rects
-}
-
-fn characterize(
-    tree: &SlicingTree,
-    idx: usize,
-    problem: &LayoutProblem,
-    config: &HidapConfig,
-    target: &mut [f64],
-    shapes: &mut [ShapeCurve],
-) {
-    match tree.node(idx) {
-        SlicingNode::Leaf { block } => {
-            target[idx] = problem.blocks[*block].target_area.max(1) as f64;
-            shapes[idx] = problem.blocks[*block].shape.clone();
-        }
-        SlicingNode::Internal { cut, left, right } => {
-            characterize(tree, *left, problem, config, target, shapes);
-            characterize(tree, *right, problem, config, target, shapes);
-            target[idx] = target[*left] + target[*right];
-            let combined = match cut {
-                CutDirection::Vertical => shapes[*left].compose_horizontal(&shapes[*right]),
-                CutDirection::Horizontal => shapes[*left].compose_vertical(&shapes[*right]),
-            };
-            shapes[idx] = combined.pruned(config.shape_curve_limit);
-        }
+impl<'a> AreaBudget<'a> {
+    /// The fold over the blocks of `problem`.
+    pub fn new(problem: &'a LayoutProblem, config: &HidapConfig) -> Self {
+        Self { problem, limit: config.shape_curve_limit }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+impl SlicingFold for AreaBudget<'_> {
+    type Value = (f64, ShapeCurve);
+
+    fn leaf(&self, block: usize) -> (f64, ShapeCurve) {
+        let block = &self.problem.blocks[block];
+        (block.target_area.max(1) as f64, block.shape.clone())
+    }
+
+    fn cut(
+        &self,
+        cut: CutDirection,
+        (left_target, left): &(f64, ShapeCurve),
+        (right_target, right): &(f64, ShapeCurve),
+    ) -> (f64, ShapeCurve) {
+        (left_target + right_target, left.compose_cut(right, cut).pruned(self.limit))
+    }
+}
+
+/// Computes the block rectangles implied by a memoized Polish expression
+/// via top-down area budgeting.
+pub fn budget_areas(memo: &SlicingMemo<AreaBudget<'_>>) -> Vec<Rect> {
+    let problem = memo.fold().problem;
+    // The region is a budget: scale target areas so they fill it exactly.
+    let region_area = problem.region.area() as f64;
+    let total_target: f64 = memo.root().0.max(1.0);
+    let scale = region_area / total_target;
+
+    let mut rects = vec![problem.region; problem.blocks.len()];
+    assign(memo, memo.root_position(), problem.region, scale, &mut rects);
+    rects
+}
+
 fn assign(
-    tree: &SlicingTree,
+    memo: &SlicingMemo<AreaBudget<'_>>,
     idx: usize,
     rect: Rect,
-    target: &[f64],
-    shapes: &[ShapeCurve],
     scale: f64,
     rects: &mut [Rect],
 ) {
-    match tree.node(idx) {
+    match memo.node(idx) {
         SlicingNode::Leaf { block } => {
-            rects[*block] = rect;
+            rects[block] = rect;
         }
         SlicingNode::Internal { cut, left, right } => {
-            let t_left = target[*left] * scale;
-            let t_right = target[*right] * scale;
+            let (target_left, shape_left) = memo.value(left);
+            let (target_right, shape_right) = memo.value(right);
+            let t_left = target_left * scale;
+            let t_right = target_right * scale;
             let total = (t_left + t_right).max(1.0);
             match cut {
                 CutDirection::Vertical => {
@@ -222,8 +221,8 @@ fn assign(
                     // Shape-curve driven adjustment: move area between the two
                     // children if a child's macros cannot fit in its share.
                     let h = rect.height();
-                    let need_left = shapes[*left].min_width_for_height(h).unwrap_or(width);
-                    let need_right = shapes[*right].min_width_for_height(h).unwrap_or(width);
+                    let need_left = shape_left.min_width_for_height(h).unwrap_or(width);
+                    let need_right = shape_right.min_width_for_height(h).unwrap_or(width);
                     if w_left < need_left {
                         w_left = need_left.min(width - need_right).max(w_left);
                     }
@@ -234,15 +233,15 @@ fn assign(
                     let w_left = w_left.clamp(0, width);
                     let x = rect.llx + w_left;
                     let (l, r) = rect.split_vertical(x);
-                    assign(tree, *left, l, target, shapes, scale, rects);
-                    assign(tree, *right, r, target, shapes, scale, rects);
+                    assign(memo, left, l, scale, rects);
+                    assign(memo, right, r, scale, rects);
                 }
                 CutDirection::Horizontal => {
                     let height = rect.height();
                     let mut h_bottom = ((height as f64) * t_left / total).round() as i64;
                     let w = rect.width();
-                    let need_bottom = shapes[*left].min_height_for_width(w).unwrap_or(height);
-                    let need_top = shapes[*right].min_height_for_width(w).unwrap_or(height);
+                    let need_bottom = shape_left.min_height_for_width(w).unwrap_or(height);
+                    let need_top = shape_right.min_height_for_width(w).unwrap_or(height);
                     if h_bottom < need_bottom {
                         h_bottom = need_bottom.min(height - need_top).max(h_bottom);
                     }
@@ -253,8 +252,8 @@ fn assign(
                     let h_bottom = h_bottom.clamp(0, height);
                     let y = rect.lly + h_bottom;
                     let (b, t) = rect.split_horizontal(y);
-                    assign(tree, *left, b, target, shapes, scale, rects);
-                    assign(tree, *right, t, target, shapes, scale, rects);
+                    assign(memo, left, b, scale, rects);
+                    assign(memo, right, t, scale, rects);
                 }
             }
         }
@@ -407,7 +406,8 @@ mod tests {
             fixed_positions: fixed,
         };
         let expr = PolishExpression::chain(2, CutDirection::Vertical);
-        let rects = budget_areas(&p, &expr, &HidapConfig::fast());
+        let rects =
+            budget_areas(&SlicingMemo::new(expr, AreaBudget::new(&p, &HidapConfig::fast())));
         assert_eq!(rects[0].area(), 7500);
         assert_eq!(rects[1].area(), 2500);
     }
@@ -425,7 +425,8 @@ mod tests {
             fixed_positions: fixed,
         };
         let expr = PolishExpression::chain(2, CutDirection::Vertical);
-        let rects = budget_areas(&p, &expr, &HidapConfig::fast());
+        let rects =
+            budget_areas(&SlicingMemo::new(expr, AreaBudget::new(&p, &HidapConfig::fast())));
         assert!(
             p.blocks[0].shape.fits(rects[0].width(), rects[0].height()),
             "macro must fit its rect {:?}",

@@ -6,9 +6,18 @@
 //! slicing tree, the shapes of children cannot simply be composed; instead an
 //! area-optimizing simulated annealing over slicing arrangements of the
 //! node's macros generates a set of small-area shape combinations.
+//!
+//! The annealer keeps its Polish expression in a [`SlicingMemo`]: the
+//! composed curve of every subtree is cached by the postfix position of the
+//! subtree's root token, and stays valid as long as no token in the
+//! subtree's range `start..=root` changes. A move therefore recomposes only
+//! the nodes whose range holds a rewritten token (for M1 two root paths,
+//! for M2 and M3 one), rejected moves are undone in place, and every
+//! recomposed node folds the same child curves in the same order as a
+//! from-scratch composition would.
 
 use crate::config::HidapConfig;
-use geometry::{CutDirection, PolishExpression, ShapeCurve, SlicingNode, SlicingTree};
+use geometry::{CutDirection, PolishExpression, ShapeCurve, SlicingFold, SlicingMemo};
 use netlist::design::{CellKind, Design};
 use netlist::hierarchy::{HierarchyNodeId, HierarchyTree};
 use rand::Rng;
@@ -79,6 +88,7 @@ impl ShapeCurveSet {
 /// the component's own curve.  For more components, a simulated annealing
 /// over normalized Polish expressions minimizes the packing area, and every
 /// explored arrangement contributes its Pareto bounding boxes to the result.
+/// Each move recomposes only the subtrees it touched ([`SlicingMemo`]).
 pub fn macro_packing_curve<R: Rng + ?Sized>(
     leaves: &[ShapeCurve],
     config: &HidapConfig,
@@ -88,12 +98,12 @@ pub fn macro_packing_curve<R: Rng + ?Sized>(
         0 => ShapeCurve::unconstrained(),
         1 => leaves[0].clone(),
         _ => {
-            let mut expr = PolishExpression::chain(leaves.len(), CutDirection::Vertical);
-            let mut accumulated: Vec<(i64, i64)> = Vec::new();
-            let mut current_curve = compose_expression(&expr, leaves, config.shape_curve_limit);
-            let mut current_cost = current_curve.min_area();
-            accumulated.extend_from_slice(current_curve.points());
-            let mut best_cost = current_cost;
+            let mut memo = SlicingMemo::new(
+                PolishExpression::chain(leaves.len(), CutDirection::Vertical),
+                MacroPacking::new(leaves, config.shape_curve_limit),
+            );
+            let mut current_cost = memo.root().min_area();
+            let mut accumulated: Vec<(i64, i64)> = memo.root().points().to_vec();
 
             let iterations = config.shape_curve_effort * leaves.len();
             // Simple annealing: temperature proportional to the total macro area.
@@ -101,18 +111,15 @@ pub fn macro_packing_curve<R: Rng + ?Sized>(
             let mut temperature = (total_area as f64) * 0.5 + 1.0;
             let cooling = 0.97_f64;
             for _ in 0..iterations {
-                let mut candidate = expr.clone();
-                candidate.random_move(rng);
-                let curve = compose_expression(&candidate, leaves, config.shape_curve_limit);
-                let cost = curve.min_area();
+                let cost = memo.propose(rng).min_area();
                 let delta = (cost - current_cost) as f64;
                 let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature).exp();
                 if accept {
-                    expr = candidate;
+                    memo.accept();
                     current_cost = cost;
-                    current_curve = curve;
-                    accumulated.extend_from_slice(current_curve.points());
-                    best_cost = best_cost.min(cost);
+                    accumulated.extend_from_slice(memo.root().points());
+                } else {
+                    memo.reject();
                 }
                 temperature = (temperature * cooling).max(1.0);
             }
@@ -121,29 +128,30 @@ pub fn macro_packing_curve<R: Rng + ?Sized>(
     }
 }
 
-/// Composes the shape curve of the root of a slicing expression whose leaves
-/// have the given curves.
-pub fn compose_expression(
-    expr: &PolishExpression,
-    leaves: &[ShapeCurve],
+/// The slicing fold of [`macro_packing_curve`]: a subtree's value is the
+/// composed shape curve of its components, pruned to `limit` points.
+#[derive(Debug, Clone, Copy)]
+pub struct MacroPacking<'a> {
+    leaves: &'a [ShapeCurve],
     limit: usize,
-) -> ShapeCurve {
-    let tree = expr.to_tree();
-    compose_node(&tree, tree.root(), leaves, limit)
 }
 
-fn compose_node(tree: &SlicingTree, idx: usize, leaves: &[ShapeCurve], limit: usize) -> ShapeCurve {
-    match tree.node(idx) {
-        SlicingNode::Leaf { block } => leaves[*block].clone(),
-        SlicingNode::Internal { cut, left, right } => {
-            let l = compose_node(tree, *left, leaves, limit);
-            let r = compose_node(tree, *right, leaves, limit);
-            let combined = match cut {
-                CutDirection::Vertical => l.compose_horizontal(&r),
-                CutDirection::Horizontal => l.compose_vertical(&r),
-            };
-            combined.pruned(limit)
-        }
+impl<'a> MacroPacking<'a> {
+    /// The fold over components with the given curves.
+    pub fn new(leaves: &'a [ShapeCurve], limit: usize) -> Self {
+        Self { leaves, limit }
+    }
+}
+
+impl SlicingFold for MacroPacking<'_> {
+    type Value = ShapeCurve;
+
+    fn leaf(&self, block: usize) -> ShapeCurve {
+        self.leaves[block].clone()
+    }
+
+    fn cut(&self, cut: CutDirection, left: &ShapeCurve, right: &ShapeCurve) -> ShapeCurve {
+        left.compose_cut(right, cut).pruned(self.limit)
     }
 }
 
@@ -212,11 +220,11 @@ mod tests {
     }
 
     #[test]
-    fn compose_expression_matches_manual_composition() {
+    fn packing_fold_matches_manual_composition() {
         let leaves = vec![ShapeCurve::from_macro(4, 2, false), ShapeCurve::from_macro(3, 5, false)];
         let expr = PolishExpression::chain(2, CutDirection::Vertical);
-        let c = compose_expression(&expr, &leaves, 16);
-        assert_eq!(c, leaves[0].compose_horizontal(&leaves[1]));
+        let memo = SlicingMemo::new(expr, MacroPacking::new(&leaves, 16));
+        assert_eq!(memo.root(), &leaves[0].compose_horizontal(&leaves[1]));
     }
 
     #[test]

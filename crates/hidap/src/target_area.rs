@@ -5,6 +5,12 @@
 //! the netlist graph starts simultaneously from the cells of every block and
 //! each glue cell is assigned to the block whose cells reach it first, so
 //! glue logic ends up budgeted next to the logic it talks to.
+//!
+//! The search stops as soon as every glue cell has been discovered. A node's
+//! source is fixed at the moment it is discovered and the early exit leaves
+//! the visiting order untouched, so the assignment is the one a full search
+//! gives; the only work saved is the tail of the search beyond the last glue
+//! cell, which the assignment never reads.
 
 use crate::block::{BlockId, BlockSet};
 use crate::config::HidapConfig;
@@ -42,16 +48,13 @@ pub fn target_area_assignment(
         }
     }
 
+    let glue_nodes: Vec<usize> = blocks.glue_cells.iter().map(|&c| gnet.cell_node(c)).collect();
     let result = multi_source_bfs(
         gnet.num_nodes(),
         &sources,
-        |n| {
-            // search the netlist as an undirected graph so glue on either side
-            // of a block boundary is captured
-            let mut adj = gnet.successors(n).to_vec();
-            adj.extend_from_slice(gnet.predecessors(n));
-            adj
-        },
+        // search the netlist as an undirected graph so glue on either side
+        // of a block boundary is captured
+        |n| gnet.successors(n).iter().chain(gnet.predecessors(n)).copied(),
         |n| {
             // traverse through anything that is not part of another block
             match gnet.node(n) {
@@ -59,12 +62,12 @@ pub fn target_area_assignment(
                 graphs::NetGraphNode::Port(_) => true,
             }
         },
+        &glue_nodes,
     );
 
     let mut extra_area = vec![0_i128; blocks.len()];
     let mut unassigned_area: i128 = 0;
-    for &glue in &blocks.glue_cells {
-        let node = gnet.cell_node(glue);
+    for (&glue, &node) in blocks.glue_cells.iter().zip(&glue_nodes) {
         let area = design.cell(glue).area();
         if result.reached(node) && result.source[node] != usize::MAX {
             let block = source_block[result.source[node]];

@@ -1,14 +1,73 @@
 //! Property-based tests of the placer's internal invariants.
 
-use geometry::{CutDirection, Point, PolishExpression, Rect, ShapeCurve};
-use hidap::layout::{budget_areas, LayoutBlock, LayoutProblem};
+use geometry::{
+    CutDirection, Point, PolishExpression, Rect, ShapeCurve, SlicingFold, SlicingMemo, SlicingNode,
+    SlicingTree,
+};
+use hidap::layout::{budget_areas, AreaBudget, LayoutBlock, LayoutProblem};
 use hidap::legalize::{legalize_macros, MacroFootprint, MacroFootprints};
-use hidap::shape_curves::macro_packing_curve;
+use hidap::shape_curves::{macro_packing_curve, MacroPacking};
 use hidap::HidapConfig;
 use netlist::design::DesignBuilder;
 use proptest::prelude::*;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// Oracle: every subtree's value composed recursively from scratch over the
+/// explicit slicing tree, indexed like the tree's nodes (by postfix
+/// position).
+fn fresh_values<F: SlicingFold>(fold: &F, tree: &SlicingTree) -> Vec<Option<F::Value>> {
+    fn visit<F: SlicingFold>(
+        fold: &F,
+        tree: &SlicingTree,
+        idx: usize,
+        out: &mut Vec<Option<F::Value>>,
+    ) -> F::Value {
+        let value = match *tree.node(idx) {
+            SlicingNode::Leaf { block } => fold.leaf(block),
+            SlicingNode::Internal { cut, left, right } => {
+                let l = visit(fold, tree, left, out);
+                let r = visit(fold, tree, right, out);
+                fold.cut(cut, &l, &r)
+            }
+        };
+        out[idx] = Some(value.clone());
+        value
+    }
+    let mut out = vec![None; tree.nodes().len()];
+    visit(fold, tree, tree.root(), &mut out);
+    out
+}
+
+/// Drives `memo` through `steps` random propose/accept/reject rounds and
+/// checks every memoized subtree against the from-scratch oracle, both
+/// while a move is pending and after it is settled.
+fn check_memo_against_oracle<F>(memo: &mut SlicingMemo<F>, seed: u64, steps: usize)
+where
+    F: SlicingFold + Clone,
+    F::Value: PartialEq + std::fmt::Debug,
+{
+    let check = |memo: &SlicingMemo<F>| {
+        let tree = memo.expression().to_tree();
+        let fresh = fresh_values(memo.fold(), &tree);
+        for (pos, value) in fresh.iter().enumerate() {
+            assert_eq!(&memo.node(pos), tree.node(pos), "structure at position {pos}");
+            assert_eq!(Some(memo.value(pos)), value.as_ref(), "value at position {pos}");
+        }
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    check(memo);
+    for _ in 0..steps {
+        memo.propose(&mut rng);
+        check(memo);
+        if rand::Rng::gen::<bool>(&mut rng) {
+            memo.accept();
+        } else {
+            memo.reject();
+        }
+        check(memo);
+    }
+}
 
 fn soft_blocks(areas: &[i128]) -> Vec<LayoutBlock> {
     areas
@@ -38,7 +97,7 @@ proptest! {
         for _ in 0..20 {
             expr.random_move(&mut rng);
         }
-        let rects = budget_areas(&problem, &expr, &HidapConfig::fast());
+        let rects = budget_areas(&SlicingMemo::new(expr, AreaBudget::new(&problem, &HidapConfig::fast())));
         prop_assert_eq!(rects.len(), n);
         // the region is exactly partitioned: total area matches and no overlaps
         let total: i128 = rects.iter().map(Rect::area).sum();
@@ -65,6 +124,44 @@ proptest! {
         let row_w: i64 = sizes.iter().map(|&(w, h)| w.max(h)).sum();
         let row_h: i64 = sizes.iter().map(|&(w, h)| w.max(h)).max().unwrap();
         prop_assert!(curve.fits(row_w, row_h) || curve.min_area() <= (row_w as i128 * row_h as i128));
+    }
+
+    #[test]
+    fn memoized_packing_curves_equal_fresh_composition(
+        sizes in prop::collection::vec((5i64..60, 5i64..60), 2..14),
+        limit in 2usize..8,
+        seed in 0u64..1000,
+    ) {
+        let leaves: Vec<ShapeCurve> =
+            sizes.iter().map(|&(w, h)| ShapeCurve::from_macro(w, h, w % 3 != 0)).collect();
+        let expr = PolishExpression::chain(leaves.len(), CutDirection::Horizontal);
+        let mut memo = SlicingMemo::new(expr, MacroPacking::new(&leaves, limit));
+        check_memo_against_oracle(&mut memo, seed, 40);
+    }
+
+    #[test]
+    fn memoized_area_budgets_equal_fresh_composition(
+        blocks in prop::collection::vec((5i64..60, 5i64..60, 1i128..5_000, any::<bool>()), 2..14),
+        seed in 0u64..1000,
+    ) {
+        let n = blocks.len();
+        let problem = LayoutProblem {
+            region: Rect::new(0, 0, 1000, 800),
+            blocks: blocks
+                .iter()
+                .map(|&(w, h, extra, hard)| LayoutBlock {
+                    shape: if hard { ShapeCurve::from_macro(w, h, true) } else { ShapeCurve::unconstrained() },
+                    min_area: (w * h) as i128,
+                    target_area: (w * h) as i128 + extra,
+                })
+                .collect(),
+            affinity: graphs::AffinityMatrix::zeros(n),
+            fixed_positions: vec![None; n],
+        };
+        let config = HidapConfig { shape_curve_limit: 4, ..HidapConfig::fast() };
+        let expr = PolishExpression::chain(n, CutDirection::Vertical);
+        let mut memo = SlicingMemo::new(expr, AreaBudget::new(&problem, &config));
+        check_memo_against_oracle(&mut memo, seed, 40);
     }
 
     #[test]

@@ -364,8 +364,14 @@ fn parse_module(p: &mut Parser<'_>) -> Result<Module, ParseError> {
                         module.ports.push((pname.to_string(), d, range));
                     }
                 }
-                _ => {
+                Some(_) => {
                     p.next()?;
+                }
+                None => {
+                    return Err(ParseError::at_line(
+                        p.line(),
+                        "unexpected end of file in module port list",
+                    ))
                 }
             }
         }

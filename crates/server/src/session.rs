@@ -154,13 +154,25 @@ impl Server {
         writer: W,
     ) -> io::Result<SessionEnd> {
         let mut out = SharedWriter::new(writer);
-        for (i, line) in reader.lines().enumerate() {
+        // split on raw bytes: a line that is not UTF-8 is a client error
+        // answered like any other parse error, not a reason to exit
+        for (i, line) in reader.split(b'\n').enumerate() {
             let line = line?;
+            let lineno = i + 1;
+            let Ok(line) = std::str::from_utf8(&line) else {
+                reply(
+                    &mut out,
+                    Frame::new("err")
+                        .field("line", lineno)
+                        .field("code", "parse")
+                        .field("reason", "line is not valid UTF-8"),
+                )?;
+                continue;
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let lineno = i + 1;
             let frame = match Frame::parse(trimmed) {
                 Ok(frame) => frame,
                 Err(message) => {

@@ -327,6 +327,27 @@ shutdown
 }
 
 #[test]
+fn non_utf8_lines_are_parse_errors_not_exits() {
+    // one invalid byte used to end the whole session with an io error
+    let mut server = tight_server();
+    let script: &[u8] =
+        b"hello client=a\nsubmit \xff\xfe design=0\n\x80\nhello client=b\nshutdown\n";
+    let out = SharedWriter::new(Vec::new());
+    let end = server.serve_once(script, out.clone()).expect("session io");
+    assert_eq!(end, SessionEnd::Shutdown, "the session reads on past the bad bytes");
+    let transcript = String::from_utf8(out.lock().clone()).expect("utf8 transcript");
+    let frames: Vec<Frame> = transcript.lines().map(|l| Frame::parse(l).expect("frame")).collect();
+    let errs = named(&frames, "err");
+    assert_eq!(errs.len(), 2, "one err per bad line: {frames:?}");
+    for (err, line) in errs.iter().zip(["2", "3"]) {
+        assert_eq!(err.get("code"), Some("parse"));
+        assert_eq!(err.get("line"), Some(line));
+    }
+    let hellos = frames.iter().filter(|f| f.get("cmd") == Some("hello")).count();
+    assert_eq!(hellos, 2, "commands on both sides of the bad lines are served: {frames:?}");
+}
+
+#[test]
 fn quota_rejections_reach_the_wire() {
     let budget = preset_bytes("small") * 4;
     let service = PlacementService::with_store(

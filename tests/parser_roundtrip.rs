@@ -85,3 +85,32 @@ fn def_roundtrip_preserves_placement() {
         assert_eq!(restored[&placed.cell], (placed.location, placed.orientation));
     }
 }
+
+#[test]
+fn truncated_verilog_is_an_error_not_a_hang() {
+    let verilog = emit_verilog(&small_soc().design);
+    // the top module is emitted last: any cut before its `endmodule` loses it
+    let end = verilog.rfind("endmodule").expect("emitted Verilog has modules");
+    let step = end / 211 + 1;
+    // parse on a worker so a hang fails the test instead of wedging it
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let opts = ElaborateOptions::default();
+        // the header port list once spun forever at end of file
+        let mut parsed = vec![(0, parse_verilog("module m (a", None, &opts).is_ok())];
+        parsed.extend(
+            (step..end)
+                .step_by(step)
+                .filter_map(|len| verilog.get(..len))
+                .map(|prefix| (prefix.len(), parse_verilog(prefix, Some("rt_soc"), &opts).is_ok())),
+        );
+        let _ = tx.send(parsed);
+    });
+    let parsed = rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("every truncation parses to a result in bounded time");
+    assert!(parsed.len() > 100, "the sweep covers the file");
+    for (len, ok) in parsed {
+        assert!(!ok, "a file truncated to {len} bytes must not parse");
+    }
+}
